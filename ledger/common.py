@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import math
 import os
 import subprocess
@@ -71,6 +73,35 @@ def median(samples: Sequence[float]) -> float:
     return float(np.median(np.asarray(samples, dtype=float)))
 
 
+def draw_mean(samples_by_draw: Sequence[Sequence[float]]) -> float:
+    """Mean of the samples, every draw weighing the same however many it has.
+
+    A closed loop fits more units when the program is faster, and the extra
+    units fall on some draws and not others; weighing every draw equally
+    keeps the mix of inputs behind a number independent of speed.
+    """
+    return float(np.mean([np.mean(samples) for samples in samples_by_draw]))
+
+
+def draw_percentile(samples_by_draw: Sequence[Sequence[float]], q: float) -> float:
+    """Nearest-rank percentile of all samples, every draw weighing the same.
+
+    Each sample weighs one over its draw's sample count, so the percentile
+    is that of an equal mix of the draws (see :func:`draw_mean`), while all
+    samples count towards the number beyond it.
+    """
+    weighted = sorted(
+        (x, 1.0 / len(samples)) for samples in samples_by_draw for x in samples
+    )
+    target = q / 100.0 * len(samples_by_draw) * (1.0 - 1e-12)
+    total = 0.0
+    for x, weight in weighted:
+        total += weight
+        if total >= target:
+            return x
+    return weighted[-1][0]
+
+
 def ms(seconds: float) -> float:
     """Seconds to milliseconds (a failed request's +inf stays +inf)."""
     return seconds * 1000.0
@@ -100,6 +131,71 @@ def timed_child(code: str, repeats: int) -> List[float]:
         ).stdout
         samples.append(float(out.strip().splitlines()[-1]))
     return samples
+
+
+class HostSpeed:
+    """How fast the host runs right now, from a fixed reference computation.
+
+    On a shared host the same call on the same rows drifts by a quarter or
+    more over minutes, with whatever else the machine runs.  A run samples
+    this computation between its timed operations and divides its timings
+    by :attr:`factor` (the median sample over :data:`NOMINAL_S`), so a
+    timing reads as it would on a host where the reference takes
+    ``NOMINAL_S``.  The reference is the benchmark's own NumPy and Python
+    code on fixed inputs (nothing from the program), run with the cyclic
+    garbage collector off so that the program's live objects do not slow
+    it; a change to the program cannot move it.
+    """
+
+    #: Seconds the reference takes at the nominal host speed (its median on
+    #: a 2-vCPU Xeon virtual machine, rounded).
+    NOMINAL_S = 0.18
+
+    def __init__(self) -> None:
+        rng = np.random.default_rng(0)
+        # Distance blocks at both of the benchmark's dimensions, as the
+        # program's kernels compute them, and copies of small Python
+        # records, as its session snapshots make them.
+        self._blocks = [
+            (rng.standard_normal((40_000, 16)), rng.standard_normal((256, 16))),
+            (rng.standard_normal((10_000, 64)), rng.standard_normal((256, 64))),
+        ]
+        self._records = [
+            {"uid": i, "vector": rng.standard_normal(16), "group": i % 2, "tags": [i, i + 1]}
+            for i in range(2_000)
+        ]
+        self.samples: List[float] = []
+
+    def sample(self) -> float:
+        """Run the reference once; returns (and keeps) its seconds."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            for points, centres in self._blocks:
+                norms = (centres * centres).sum(axis=1)
+                for i in range(0, len(points), 1_000):
+                    block = points[i:i + 1_000]
+                    dist = (block * block).sum(axis=1)[:, None] - 2.0 * block @ centres.T + norms
+                    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+                    dist.min(axis=1)
+                    (dist < 1.0).sum()
+            for _ in range(3):
+                copy.deepcopy(self._records)
+            counts: Dict[int, int] = {}
+            for i in range(100_000):
+                counts[i % 1_000] = counts.get(i % 1_000, 0) + i
+            seconds = time.perf_counter() - start
+        finally:
+            if was_enabled:
+                gc.enable()
+        self.samples.append(seconds)
+        return seconds
+
+    @property
+    def factor(self) -> float:
+        """Median reference time over the nominal one: above 1 on a slow host."""
+        return median(self.samples) / self.NOMINAL_S
 
 
 class Deadline:

@@ -2,8 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 ledger/run.py --workload solve-d64 --seed 1 --seconds 30 --trace 0
-    python3 ledger/run.py --catalogue
+    python3 ledger/run.py --workload solve-d64 --seed 1 --seconds 50 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing instrumented.
 ``--trace 1`` is the separate traced run: it times calls into each layer's
@@ -36,25 +35,9 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--catalogue", action="store_true",
-                        help="print the workload rationale and metric catalogue")
     return parser.parse_args(argv)
-
-
-def _print_catalogue(catalogue) -> None:
-    for name, why in catalogue.WORKLOAD_NOTES.items():
-        print(f"workload {name}\n  {why}\n")
-    print("end-to-end metrics (untraced run, --trace 0):")
-    for spec in catalogue.END_TO_END:
-        print(f"  {spec.name} [{spec.unit}, {spec.better} is better, bound {spec.bound}]")
-        for workload, meaning in spec.per_workload.items():
-            print(f"    {workload}: {meaning}")
-    print("\nper-layer metrics (traced run, --trace 1):")
-    for spec in catalogue.PER_LAYER:
-        print(f"  {spec.name} [{spec.unit}, {spec.better} is better] "
-              f"layer {spec.layer}; moves {spec.moves}")
 
 
 def _check_benchmark_json(catalogue) -> None:
@@ -88,9 +71,6 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import catalogue
 
-    if args.catalogue:
-        _print_catalogue(catalogue)
-        return 0
     _check_benchmark_json(catalogue)
     runnable = [*catalogue.WORKLOADS, *catalogue.UNGATED]
     if args.workload not in runnable:

@@ -41,9 +41,9 @@ class SpanRecorder:
         self._owner = threading.get_ident()
 
     @contextmanager
-    def span(self, name: str, layer: str, **attrs: Any) -> Iterator[Dict[str, Any]]:
+    def span(self, name: str, layer: str) -> Iterator[Dict[str, Any]]:
         """Time the body as one span nested under the innermost open span."""
-        record = self._open(name, layer, attrs)
+        record = self._open(name, layer)
         self._stack.append(record)
         try:
             yield record
@@ -51,13 +51,12 @@ class SpanRecorder:
             record["end"] = perf_counter()
             self._stack.pop()
 
-    def add(self, name: str, layer: str, start: float, end: float, **attrs: Any) -> None:
+    def add(self, name: str, layer: str, start: float, end: float) -> None:
         """Record a finished span (nested only when called on the owner thread)."""
-        record = self._open(name, layer, attrs, start)
+        record = self._open(name, layer, start)
         record["end"] = end
 
-    def _open(self, name: str, layer: str, attrs: Dict[str, Any],
-              start: Optional[float] = None) -> Dict[str, Any]:
+    def _open(self, name: str, layer: str, start: Optional[float] = None) -> Dict[str, Any]:
         parent = None
         if self._stack and threading.get_ident() == self._owner:
             parent = self._stack[-1]
@@ -70,7 +69,6 @@ class SpanRecorder:
             "start": perf_counter() if start is None else start,
             "end": None,
         }
-        record.update(attrs)
         self.spans.append(record)
         return record
 
@@ -106,6 +104,12 @@ def _bytes(*arrays: Any) -> int:
     return sum(int(getattr(a, "nbytes", 0)) for a in arrays)
 
 
+#: Kernels reported under their own ``metrics.<kernel>_s``/``_evals`` rows.
+#: Every other forwarded method (the index's box bounds, and any kernel
+#: added later) is reported as ``other``.
+KERNELS = ("distance", "distances_to", "distances_idx", "pairwise", "pairwise_idx",
+           "pairwise_min")
+
 # Per known kernel: (evaluations, operand + result bytes) from its arguments
 # and result.  Box bounds are geometry, not distance evaluations.
 _ACCOUNTING: Dict[str, Callable[..., Any]] = {
@@ -135,11 +139,11 @@ def _revive(key: int) -> "TimingMetric":
 
 
 class TimingMetric(Metric):
-    """A metric (Euclidean unless given) whose every kernel call is timed and counted.
+    """A Euclidean metric whose every kernel call is timed and counted.
 
-    Every public method of the wrapped metric is forwarded through a timer,
-    including kernels this class does not know by name, so a later kernel
-    is still timed (as ``other``) and the program takes exactly the path it
+    Every public method of the wrapped ``euclidean()`` is forwarded through
+    a timer, including kernels not in :data:`KERNELS`, so a later kernel is
+    still timed (as ``other``) and the program takes exactly the path it
     takes with the plain metric.  ``supports_batch`` and ``supports_index``
     are forwarded too.  Per kernel it keeps calls, seconds, evaluations and
     bytes, and records one ``repro.metrics`` span per call.
@@ -149,8 +153,8 @@ class TimingMetric(Metric):
     kernel call of a run lands in one ledger.
     """
 
-    def __init__(self, recorder: SpanRecorder, inner: Optional[Metric] = None) -> None:
-        self.inner = inner if inner is not None else euclidean()
+    def __init__(self, recorder: SpanRecorder) -> None:
+        self.inner = euclidean()
         self.recorder = recorder
         self.name = self.inner.name
         self.kernels: Dict[str, List[float]] = defaultdict(lambda: [0, 0.0, 0, 0])
@@ -178,7 +182,7 @@ class TimingMetric(Metric):
 
     def _timed(self, attr: str, target: Callable[..., Any]) -> Callable[..., Any]:
         account = _ACCOUNTING.get(attr)
-        kernel = attr if account is not None else "other"
+        kernel = attr if attr in KERNELS else "other"
         stats = self.kernels[kernel]
         recorder = self.recorder
 
@@ -219,7 +223,7 @@ def kernel_metrics(kernels: Dict[str, List[float]]) -> Dict[str, float]:
         return kernels[kernel][field] if kernel in kernels else 0
 
     out = {}
-    for kernel in ("pairwise", "pairwise_min", "distances_to", "other"):
+    for kernel in (*KERNELS, "other"):
         out[f"metrics.{kernel}_s"] = float(get(kernel, 1))
         out[f"metrics.{kernel}_evals"] = float(get(kernel, 2))
     out["metrics.distance_calls"] = float(sum(stats[0] for stats in kernels.values()))
@@ -248,4 +252,22 @@ def kernel_seconds_under(recorder: SpanRecorder, phases: Iterable[str]) -> float
         r["end"] - r["start"]
         for r in recorder.spans
         if r["layer"] == METRICS_LAYER and r["phase"] in wanted
+    )
+
+
+def stream_kernel_seconds(recorder: SpanRecorder, run_span: Dict[str, Any],
+                          stream_seconds: float) -> float:
+    """Kernel seconds in the stream phase of one ``Algorithm.run`` span.
+
+    ``run`` times its stream stage from its first statement and its
+    post-processing right after, so the kernels the span encloses that start
+    within ``stream_seconds`` of the span's start belong to the stream.
+    (Kernel calls on either side of that edge start half a millisecond or
+    more away from it.)
+    """
+    edge = run_span["start"] + stream_seconds
+    return sum(
+        r["end"] - r["start"]
+        for r in recorder.spans
+        if r["layer"] == METRICS_LAYER and r["parent"] == run_span["id"] and r["start"] < edge
     )

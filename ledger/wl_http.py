@@ -396,8 +396,6 @@ def _drive(out, inputs: Inputs, server: Server, control: Client,
     out.metrics.update({
         "solve_s": median(sweeps),
         "ingest_rows_per_s": rows_a / (ended_a - t0),
-        "query_ms_p50": ms(percentile(query_lat, 50)),
-        "offer_ms_p99": ms(percentile(offer_lat, 99)),
         "capacity_rows_per_s": median(windows),
         "diversity": float(np.mean([payload["diversity"] for _, payload in finals[-1]])),
     })

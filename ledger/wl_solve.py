@@ -11,10 +11,13 @@ from repro import SFDM2, ElementStore, equal_representation, euclidean
 
 from common import (
     Deadline,
+    HostSpeed,
     Outcome,
     blobs,
     fingerprint,
     median,
+    draw_mean,
+    draw_percentile,
     ms,
     percentile,
     same_diversity,
@@ -23,10 +26,18 @@ from common import (
     vm_hwm_mb,
     beyond,
 )
-from tracing import SpanRecorder, TimingMetric, delta, kernel_metrics, snapshot
+from tracing import (
+    SpanRecorder,
+    TimingMetric,
+    delta,
+    kernel_metrics,
+    snapshot,
+    stream_kernel_seconds,
+)
 
 N, D, K, BATCH = 100_000, 64, 20, 1024
-#: Independent draws of the 100k rows that one run cycles through.
+#: Independent draws of the 100k rows that one run cycles through (about
+#: 35 calls fit in a 50 s run).
 DATASETS = 3
 IMPORT_CODE = (
     "import time; t = time.perf_counter(); import repro; "
@@ -66,45 +77,58 @@ def _check(out: Outcome, result, features, groups, reference) -> None:
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     out = Outcome()
     # How long a solve takes and how diverse its answer is depend on the draw
-    # as much as on the program, so one run cycles through several draws.
+    # as much as on the program, so one run cycles through a fixed set of
+    # draws, visits each at least once, and weighs each draw equally.
     datasets = [blobs(np.random.default_rng([seed, D, j]), N, D) for j in range(DATASETS)]
     if trace:
         return _traced(out, *datasets[0], seconds)
 
+    host = HostSpeed()
+    host.sample()
     setup = timed_child(IMPORT_CODE, 5)
     loop = Deadline(seconds)
-    calls, results = [], [[] for _ in datasets]
-    while loop.fits(median(calls) if calls else 0.0, len(calls)):
-        j = len(calls) % len(datasets)
+    calls, stream, prints = ([[] for _ in datasets] for _ in range(3))
+    # Only the first result per draw is kept, so that the peak RSS does not
+    # grow with the number of calls that fit.
+    firsts = [None] * DATASETS
+    units = []
+    done = 0
+    while done < DATASETS or loop.fits(median(units), done):
+        j = done % DATASETS
         start = perf_counter()
-        results[j].append(_solve(*datasets[j]))
-        calls.append(perf_counter() - start)
-    wall = perf_counter() - loop.start
+        result = _solve(*datasets[j])
+        calls[j].append(perf_counter() - start)
+        stream[j].append(result.stats.stream_seconds)
+        prints[j].append(fingerprint(result))
+        if firsts[j] is None:
+            firsts[j] = result
+        host.sample()
+        units.append(perf_counter() - start)
+        done += 1
     rss = vm_hwm_mb()
-    out.ops(len(calls))
+    out.ops(done)
 
-    for (features, groups), same_rows in zip(datasets, results):
-        if not same_rows:
-            continue
-        _check(out, same_rows[0], features, groups, _simplest(features, groups))
-        first = fingerprint(same_rows[0])
-        out.check(all(fingerprint(r) == first for r in same_rows), "repeated solves disagree")
+    for (features, groups), first, same_rows in zip(datasets, firsts, prints):
+        _check(out, first, features, groups, _simplest(features, groups))
+        out.check(all(p == same_rows[0] for p in same_rows), "repeated solves disagree")
 
-    stream = [r.stats.stream_seconds for same_rows in results for r in same_rows]
+    # Every timing is divided by the host's speed factor (common.HostSpeed).
+    speed = host.factor
     out.metrics.update({
-        "setup_s": median(setup),
-        "solve_s": median(calls),
-        "ingest_rows_per_s": N * len(calls) / sum(calls),
-        "query_ms_p50": ms(percentile(calls, 50)),
-        # A batch job makes one offer (all rows) per call, and ~20 calls give
-        # a p99 no sample lies beyond: the median stream time stands here.
-        "offer_ms_p99": ms(median(stream)),
-        "capacity_rows_per_s": N * len(calls) / wall,
-        "diversity": float(np.mean([rows[0].diversity for rows in results if rows])),
+        "setup_s": median(setup) / speed,
+        "solve_s": draw_percentile(calls, 50) / speed,
+        "ingest_rows_per_s": N / draw_percentile(stream, 50) * speed,
+        # Restates solve_s, with the mean in place of the median.
+        "capacity_rows_per_s": N / draw_mean(calls) * speed,
+        "diversity": float(np.mean([first.diversity for first in firsts])),
         "peak_rss_mb": rss,
     })
-    out.note(f"solves: {len(calls)} calls over {DATASETS} draws; p90 "
-             f"{ms(percentile(calls, 90)):.1f} ms ({beyond(calls, 90)} beyond)")
+    every = sum(calls, [])
+    out.note(f"solves: {done} calls over {DATASETS} draws; p90 "
+             f"{ms(percentile(every, 90)):.1f} ms ({beyond(every, 90)} beyond)")
+    out.note(f"host speed factor {speed:.4f} over {len(host.samples)} reference runs; "
+             f"wall-clock solve_s {draw_percentile(calls, 50):.4f} s, "
+             f"setup_s {median(setup):.4f} s")
     return out
 
 
@@ -113,7 +137,7 @@ def _traced(out: Outcome, features, groups, seconds: float) -> Outcome:
     timing = TimingMetric(recorder)
     loop = Deadline(seconds)
     plain, traced, simplest, simplest_stream, stores, per_call = [], [], [], [], [], []
-    plain_results, traced_results = [], []
+    plain_results, traced_results, stream_share = [], [], []
     _solve(features, groups)  # lazy set-up and caches, before anything is timed
     unit = 0.0
     while len(plain) < 2 or loop.fits(unit, len(plain)):
@@ -138,8 +162,10 @@ def _traced(out: Outcome, features, groups, seconds: float) -> Outcome:
             ElementStore(features, groups)
         stores.append(span["end"] - span["start"])
 
-        with recorder.span("SFDM2.run", "repro.core"):
-            _simplest(features, groups, metric=timing)
+        with recorder.span("SFDM2.run", "repro.core") as span:
+            direct = _simplest(features, groups, metric=timing)
+        stream_share.append(stream_kernel_seconds(recorder, span, direct.stats.stream_seconds)
+                            / direct.stats.stream_seconds)
         unit = perf_counter() - began
     out.ops(len(plain) + len(traced))
 
@@ -157,8 +183,6 @@ def _traced(out: Outcome, features, groups, seconds: float) -> Outcome:
     }
     out.check(all(k[n] == kernels[0][n] for k in kernels for n in k if not n.endswith("_s")),
               "kernel evaluation counts differ between calls")
-    kernel_total = [sum(t[1] for t in table.values()) for table in per_call]
-    share = [kt / r.stats.stream_seconds for kt, r in zip(kernel_total, traced_results)]
     out.metrics.update(metrics)
     out.metrics.update({
         "simplest.run_s": median(simplest),
@@ -173,7 +197,8 @@ def _traced(out: Outcome, features, groups, seconds: float) -> Outcome:
         "core.stored_elements": float(stats[0].final_stored_elements),
         "core.num_guesses": float(stats[0].extra["num_guesses"]),
         "core.eligible_ratio": stats[0].extra["eligible_guesses"] / stats[0].extra["num_guesses"],
-        "metrics.kernel_share": median(share),
+        # repro.solve gives no edge between its phases; the direct run does.
+        "metrics.kernel_share": median(stream_share),
         "bench.trace_overhead_pct": 100.0 * (median(traced) / median(plain) - 1.0),
     })
     out.note(f"api.vs_simplest = solve {median(plain):.3f} s / simplest "
