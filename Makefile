@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast cov golden bench-smoke bench-batch bench-parallel bench-hot bench-window bench-index bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
+.PHONY: test test-fast cov golden bench-smoke bench-batch bench-parallel bench-hot bench-window bench-index bench-obs bench-serving bench-quality serve-smoke trace-smoke ledger-smoke perf-gate docs-check api-check api-surface ci
 
 ## Run the full test suite (tier-1 gate).
 test:
@@ -120,6 +120,13 @@ trace-smoke:
 		--expect-span run --expect-span ingest --expect-span ingest.chunk \
 		--expect-span postprocess
 
+## Ledger smoke test: one short run of each gated layer-ledger workload
+## (BENCHMARK.json).  Every answer the ledger checks must hold; a failed
+## check exits 1 and fails the target.
+ledger-smoke:
+	$(PYTHON) ledger/run.py --workload solve-d64 --seconds 1
+	$(PYTHON) ledger/run.py --workload session-d16 --seconds 1
+
 ## Perf-regression gate: fresh smoke run of the hot-path bench compared
 ## against the committed BENCH_hot_paths.json baseline (wall-clock checks
 ## are hardware-gated; accounting and speedup-ratio checks always apply).
@@ -149,6 +156,6 @@ api-surface:
 
 ## One-command PR gate: tests, docstring completeness, API-surface drift,
 ## the line-coverage gate, the smoke-scale benchmark pass, the traced-run
-## schema smoke, the serving end-to-end smoke, and the perf-regression
-## gate.
-ci: test docs-check api-check cov bench-smoke trace-smoke serve-smoke perf-gate
+## schema smoke, the serving end-to-end smoke, the layer-ledger smoke, and
+## the perf-regression gate.
+ci: test docs-check api-check cov bench-smoke trace-smoke serve-smoke ledger-smoke perf-gate

@@ -10,7 +10,24 @@ the same candidate state the one-shot run builds:
 * :meth:`~StreamingSession.offer` / :meth:`~StreamingSession.offer_batch` /
   :meth:`~StreamingSession.offer_rows` feed elements (or raw feature rows)
   incrementally, through the identical warmup / scalar / batched ingestion
-  rules as ``run()``;
+  rules as ``run()``.  Which engine a :class:`StreamingSession` drives
+  depends on its configuration and on its first payload:
+
+  - **columnar** — batched sessions (``batch_size`` set, or an ``index``)
+    fed numeric vectors: ``offer_rows``, or elements whose payloads
+    :meth:`~repro.data.store.ElementStore.try_from_elements` accepts
+    (this covers ``open_session(data=...)``).  Rows wait in a columnar
+    pending buffer and every whole chunk runs through the per-chunk body
+    of the one-shot store engine (:meth:`~repro.core.base.StreamingAlgorithm._ingest_store`),
+    with union screens kept across drains;
+  - **object batch** — batched sessions fed other payloads (categorical
+    sequences, precomputed-matrix indices): pending elements drain chunk
+    by chunk through the object batch path (``Candidate.offer_batch``);
+  - **scalar** — unbatched sessions: every element goes straight through
+    the paper's element-at-a-time rule (``Candidate.offer``).
+
+  ``offer_rows`` is all-or-nothing: shapes are checked (dimensionality is
+  fixed by the session's first row) before any counter or buffer moves;
 * :meth:`~StreamingSession.solution` extracts the current best solution as a
   full :class:`~repro.core.result.RunResult` **without mutating the
   session** — ingestion continues afterwards exactly as if the query never
@@ -21,7 +38,9 @@ the same candidate state the one-shot run builds:
   byte-identical solutions and equal distance counts versus never stopping,
   which generalises the windowing layer's block-snapshot idea (its
   algorithms are wrapped by :class:`WindowSession`) to the whole streaming
-  family.
+  family.  The columnar screens are a derived cache: they stay out of
+  snapshots and checkpoints and are rebuilt from the candidates on first
+  use.
 
 Sessions are created through :func:`repro.open_session`, which resolves the
 algorithm from the registry and rejects entries without the ``sessions``
@@ -34,15 +53,17 @@ import copy
 import os
 import pickle
 import tempfile
+from collections import deque
 from pathlib import Path
-from typing import Any, Iterable, List, Optional, Sequence, Union
+from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core.base import StreamingAlgorithm
+from repro.core.base import StreamingAlgorithm, _LadderScreens
 from repro.core.result import RunResult
 from repro.data.element import Element
+from repro.data.store import ElementStore
 from repro.metrics.cached import CountingMetric
 from repro.metrics.space import exact_distance_bounds
 from repro.streaming.stats import StreamStats
@@ -57,7 +78,7 @@ from repro.utils.timer import Timer
 #: Magic header of session checkpoint payloads.
 CHECKPOINT_FORMAT = "repro-session"
 #: Bumped whenever the pickled session layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class SessionBase:
@@ -76,6 +97,8 @@ class SessionBase:
     def __init__(self, trace: Any = None) -> None:
         self._offered = 0
         self._next_uid = 0
+        #: Payload dimensionality, fixed by the first numeric row offered.
+        self._dim: Optional[int] = None
         #: Accumulated wall-clock spent ingesting, shared by every session
         #: kind (one :class:`~repro.utils.timer.Timer` instead of ad-hoc
         #: ``perf_counter`` bookkeeping per subclass).
@@ -85,7 +108,7 @@ class SessionBase:
 
     @property
     def _stream_seconds(self) -> float:
-        """Total wall-clock seconds spent inside ``_offer_many``."""
+        """Total wall-clock seconds spent ingesting."""
         return self._stream_timer.elapsed
 
     # ------------------------------------------------------------------
@@ -114,17 +137,41 @@ class SessionBase:
     ) -> None:
         """Ingest raw feature rows (the server-friendly array entry point).
 
+        The offer is all-or-nothing: every shape check runs before any
+        counter or buffer moves, so a rejected offer leaves the session
+        exactly as it was.
+
         Parameters
         ----------
         features:
-            Array of shape ``(n, d)`` — or a single ``(d,)`` row.
+            Array of shape ``(n, d)`` — or a single ``(d,)`` row.  ``d`` is
+            fixed by the first row the session sees.
         groups:
             ``n`` integer group labels (default: group ``0`` for every row).
         uids:
             ``n`` integer identifiers; auto-assigned past the largest uid
             seen so far when omitted.
+
+        Raises
+        ------
+        InvalidParameterError
+            If ``features`` is not a numeric matrix, its rows have a
+            different dimensionality than the session's earlier rows, or
+            ``groups``/``uids`` do not have one entry per row.
         """
-        matrix = np.asarray(features, dtype=float)
+        block = self._rows_store(features, groups, uids)
+        if len(block):
+            self._offer_store(block)
+
+    def _rows_store(self, features: Any, groups: Any, uids: Any) -> ElementStore:
+        """Validate one ``offer_rows`` payload into a columnar block."""
+        try:
+            # a copy: the session keeps its pending rows, never the caller's
+            matrix = np.array(features, dtype=float)
+        except (TypeError, ValueError) as error:
+            raise InvalidParameterError(
+                f"features must be a numeric (n, d) matrix ({error})"
+            ) from error
         if matrix.ndim == 1:
             matrix = matrix.reshape(1, -1)
         if matrix.ndim != 2:
@@ -132,37 +179,50 @@ class SessionBase:
                 f"features must be a (n, d) matrix or a single row, got ndim={matrix.ndim}"
             )
         n = matrix.shape[0]
+        if n:
+            self._check_dim(matrix.shape[1])
         if groups is None:
-            group_list = [0] * n
+            group_column = np.zeros(n, dtype=np.int64)
         else:
-            group_list = [int(g) for g in np.asarray(groups).reshape(-1)]
-            if len(group_list) != n:
-                raise InvalidParameterError(
-                    f"got {n} feature rows but {len(group_list)} group labels"
-                )
+            group_column = _int_column(groups, n, "group labels")
         if uids is None:
-            uid_list = list(range(self._next_uid, self._next_uid + n))
+            uid_column = np.arange(self._next_uid, self._next_uid + n, dtype=np.int64)
         else:
-            uid_list = [int(u) for u in np.asarray(uids).reshape(-1)]
-            if len(uid_list) != n:
-                raise InvalidParameterError(
-                    f"got {n} feature rows but {len(uid_list)} uids"
-                )
-        self.offer_batch(
-            Element(uid=uid_list[i], vector=matrix[i], group=group_list[i])
-            for i in range(n)
-        )
+            uid_column = _int_column(uids, n, "uids")
+        return ElementStore(matrix, group_column, uids=uid_column)
+
+    def _check_dim(self, dim: int) -> None:
+        """Reject rows whose dimensionality differs from the session's."""
+        if self._dim is not None and dim != self._dim:
+            raise InvalidParameterError(
+                f"got {dim}-dimensional rows, but this session's rows are "
+                f"{self._dim}-dimensional"
+            )
+
+    def _offer_store(self, block: ElementStore) -> None:
+        """Ingest a validated ``offer_rows`` block (default: as elements).
+
+        Each element owns a copy of its row, so a retained element never
+        keeps the whole offered block alive.
+        """
+        self._offer_many([block.element(row, copy=True) for row in range(len(block))])
 
     def _offer_many(self, chunk: List[Element]) -> None:
         """Subclasses ingest an in-order, non-empty chunk here."""
         raise NotImplementedError
 
     def _track_uids(self, chunk: Sequence[Element]) -> None:
-        """Advance the auto-uid watermark past every ingested element."""
-        self._offered += len(chunk)
-        highest = max(element.uid for element in chunk)
-        if highest >= self._next_uid:
-            self._next_uid = highest + 1
+        """Advance the counters past an ingested element chunk."""
+        payload = chunk[0].vector
+        if self._dim is None and isinstance(payload, np.ndarray) and payload.ndim == 1:
+            self._dim = payload.shape[0]
+        self._advance(len(chunk), max(element.uid for element in chunk))
+
+    def _advance(self, count: int, highest_uid: int) -> None:
+        """Count ``count`` ingested elements; move the auto-uid watermark."""
+        self._offered += count
+        if highest_uid >= self._next_uid:
+            self._next_uid = highest_uid + 1
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -229,6 +289,78 @@ class SessionBase:
     def algorithm_name(self) -> str:
         """Name of the wrapped algorithm (used in reports and checkpoints)."""
         raise NotImplementedError
+
+
+def _int_column(values: Any, n: int, what: str) -> np.ndarray:
+    """``values`` as an int64 column of length ``n`` (``what`` names it in errors)."""
+    column = np.asarray(values).reshape(-1)
+    if column.shape[0] != n:
+        raise InvalidParameterError(f"got {n} feature rows but {column.shape[0]} {what}")
+    try:
+        return column.astype(np.int64)
+    except (TypeError, ValueError) as error:
+        raise InvalidParameterError(f"{what} must be integers ({error})") from error
+
+
+class _RowBuffer:
+    """Columnar pending rows of a session: offered, not yet ingested.
+
+    A FIFO of :class:`~repro.data.store.ElementStore` blocks that own
+    their memory; rows are concatenated only when a whole chunk is taken.
+    When :meth:`take` cuts a chunk off the front block, the rest of that
+    block is a view that keeps the whole block alive, so :meth:`settle`
+    replaces it with a copy once the offer has drained.
+    """
+
+    __slots__ = ("_blocks", "_count", "_front_is_view")
+
+    def __init__(self) -> None:
+        self._blocks: Deque[ElementStore] = deque()
+        self._count = 0
+        self._front_is_view = False
+
+    def __len__(self) -> int:
+        return self._count
+
+    def push(self, block: ElementStore) -> None:
+        """Append ``block``, which must share memory with nothing else."""
+        self._blocks.append(block)
+        self._count += len(block)
+
+    def peek(self, n: int) -> ElementStore:
+        """The first ``n`` pending rows, left in place."""
+        parts, need = [], n
+        for block in self._blocks:
+            if need == 0:
+                break
+            part = block if len(block) <= need else block.slice(0, need)
+            parts.append(part)
+            need -= len(part)
+        return parts[0] if len(parts) == 1 else ElementStore.concat(parts)
+
+    def take(self, n: int) -> ElementStore:
+        """Remove and return the first ``n`` pending rows."""
+        parts, need = [], n
+        while need:
+            block = self._blocks[0]
+            size = len(block)
+            if size <= need:
+                parts.append(self._blocks.popleft())
+                self._front_is_view = False
+                need -= size
+            else:
+                parts.append(block.slice(0, need))
+                self._blocks[0] = block.slice(need, size)
+                self._front_is_view = True
+                need = 0
+        self._count -= n
+        return parts[0] if len(parts) == 1 else ElementStore.concat(parts)
+
+    def settle(self) -> None:
+        """Copy a front block left as a view, so it pins nothing else."""
+        if self._front_is_view:
+            self._blocks[0] = ElementStore.concat([self._blocks[0]])
+            self._front_is_view = False
 
 
 def resume(path: Union[str, os.PathLike]) -> SessionBase:
@@ -298,9 +430,19 @@ class StreamingSession(SessionBase):
       estimates them, the ladder and its candidates are built, and the
       buffered prefix is ingested;
     * afterwards, elements flow straight into the candidates — one at a
-      time, or through the vectorized batch path when the algorithm was
-      configured with a ``batch_size`` (chunk boundaries are aligned to the
-      stream start, matching the one-shot chunking).
+      time, or in whole ``batch_size`` chunks when the algorithm was
+      configured with one (chunk boundaries are aligned to the stream
+      start, matching the one-shot chunking).
+
+    A batched session picks its route from the first payload it is
+    offered.  Numeric vector rows (``offer_rows``, or elements that
+    :meth:`~repro.data.store.ElementStore.try_from_elements` accepts) take
+    the **columnar route**: pending rows wait in a columnar buffer, and
+    each whole chunk runs through the one-shot store engine's per-chunk
+    body (:meth:`repro.core.base._LadderScreens.offer`) with union screens
+    that persist across drains.  Other payloads take the object batch
+    route.  Accepted rows are copied out of the chunk, so neither the
+    pending buffer nor the caller's arrays are ever pinned.
 
     :meth:`solution` works on a deep-copied snapshot, so queries are pure:
     the live ingestion schedule — and therefore the distance accounting —
@@ -320,9 +462,23 @@ class StreamingSession(SessionBase):
         self._ladder = None
         self._blind = None
         self._specific = None
-        self._pending: List[Element] = []
+        #: Whether offers take the columnar route; ``None`` until the
+        #: first offer decides (always ``False`` for unbatched sessions).
+        self._columnar: Optional[bool] = None
+        #: Offered but not yet ingested: an element list on the object
+        #: route, a :class:`_RowBuffer` on the columnar route.
+        self._pending: Union[List[Element], _RowBuffer] = []
+        #: The columnar route's screens — a derived cache of the
+        #: candidates, left out of snapshots and checkpoints and rebuilt
+        #: on first use.
+        self._screens: Optional[_LadderScreens] = None
         if algorithm.distance_bounds is not None:
             self._activate(algorithm.distance_bounds)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_screens"] = None
+        return state
 
     # ------------------------------------------------------------------
     @property
@@ -344,7 +500,33 @@ class StreamingSession(SessionBase):
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+    def _choose_route(self, columnar: bool) -> None:
+        """Fix the route on the first offer (columnar needs batch mode)."""
+        if self._columnar is None:
+            self._columnar = columnar and self._batched
+            if self._columnar:
+                self._pending = _RowBuffer()
+
+    def _offer_store(self, block: ElementStore) -> None:
+        self._choose_route(True)
+        if self._columnar:
+            self._offer_rows_block(block)
+        else:
+            super()._offer_store(block)
+
     def _offer_many(self, chunk: List[Element]) -> None:
+        if self._columnar is not False:
+            block = ElementStore.try_from_elements(chunk) if self._batched else None
+            self._choose_route(block is not None)
+            if self._columnar:
+                if block is None:
+                    raise InvalidParameterError(
+                        f"{self._algorithm.name} session ingests numeric vector "
+                        f"rows; got payloads that do not form an (n, d) matrix"
+                    )
+                self._check_dim(block.dim)
+                self._offer_rows_block(block)
+                return
         obs.event(
             "session.offer", algorithm=self._algorithm.name, count=len(chunk)
         )
@@ -361,6 +543,22 @@ class StreamingSession(SessionBase):
                 self._algorithm._ingest_elements(
                     chunk, self._blind, self._specific, self._stats
                 )
+
+    def _offer_rows_block(self, block: ElementStore) -> None:
+        """Columnar route: buffer ``block`` and drain every whole chunk."""
+        count = len(block)
+        obs.event("session.offer", algorithm=self._algorithm.name, count=count)
+        with self._stream_timer.measure():
+            if self._dim is None:
+                self._dim = block.dim
+            self._advance(count, int(block.uids.max()))
+            self._pending.push(block)
+            if self._ladder is None:
+                if len(self._pending) >= self._algorithm.warmup_size:
+                    self._activate_from_pending()
+            else:
+                self._drain(final=False)
+            self._pending.settle()
 
     def _activate(self, bounds) -> None:
         """Build the guess ladder and its candidates for ``bounds``."""
@@ -379,14 +577,18 @@ class StreamingSession(SessionBase):
         them, when the session is finalised early) and widened by the same
         factor; a single-element stream gets the trivial bounds.
         """
-        if not self._pending:
+        if not len(self._pending):
             raise EmptyStreamError(
                 f"{self._algorithm.name} session received no elements"
             )
         if len(self._pending) == 1:
             self._activate((1.0, 1.0))
         else:
-            warmup = self._pending[: self._algorithm.warmup_size]
+            size = self._algorithm.warmup_size
+            if self._columnar:
+                warmup = self._pending.peek(min(size, len(self._pending))).elements()
+            else:
+                warmup = self._pending[:size]
             d_min, d_max = exact_distance_bounds(warmup, self._counting)
             self._activate((d_min / 4.0, d_max * 4.0))
         self._drain(final=False)
@@ -409,16 +611,36 @@ class StreamingSession(SessionBase):
                 )
             return
         size = self._algorithm._effective_batch_size
-        while len(self._pending) >= size:
-            chunk = self._pending[:size]
-            del self._pending[:size]
-            self._algorithm._ingest_batches(
-                chunk, self._blind, self._specific, self._stats, size
-            )
-        if final and self._pending:
-            chunk, self._pending = self._pending, []
-            self._algorithm._ingest_batches(
-                chunk, self._blind, self._specific, self._stats, size
+        while len(self._pending) >= size or (final and len(self._pending)):
+            count = min(size, len(self._pending))
+            if self._columnar:
+                self._ingest_rows(self._pending.take(count))
+            else:
+                chunk = self._pending[:count]
+                del self._pending[:count]
+                self._algorithm._ingest_object_chunk(
+                    chunk, self._blind, self._specific, self._stats
+                )
+
+    def _ingest_rows(self, chunk: ElementStore) -> None:
+        """One whole chunk through the columnar engine's per-chunk body."""
+        count = len(chunk)
+        start = self._stats.elements_processed
+        self._stats.elements_processed += count
+        if self._screens is None:
+            self._screens = self._algorithm._make_screens(self._blind, self._specific)
+            if self._algorithm._index_kind is not None:
+                self._stats.index_kind = self._algorithm._index_kind
+        if self._screens.exhausted:
+            return
+        with obs.span("ingest.chunk", start=start, size=count):
+            self._screens.offer(
+                self._counting,
+                chunk,
+                np.arange(count, dtype=np.int64),
+                chunk.features,
+                chunk.groups,
+                detach=True,
             )
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ classes read close to the paper's pseudocode.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -453,44 +453,43 @@ class StreamingAlgorithm:
         stats: StreamStats,
         size: int,
     ) -> None:
-        """Vectorized update loop: one batched screen per chunk and guess level.
+        """Vectorized update loop over element objects (object-backed plans).
 
         Each chunk's payloads are stacked once (and pre-split by group once,
         for the group-specific candidates) so the per-level work reduces to
         a handful of NumPy kernel calls on the already-stacked matrices.
         """
-        levels = len(blind)
         for chunk in iter_batches(elements, size):
-            stats.elements_processed += len(chunk)
-            with obs.span("ingest.chunk", size=len(chunk)):
-                self._offer_chunk(chunk, blind, specific, levels)
+            self._ingest_object_chunk(chunk, blind, specific, stats)
 
     @staticmethod
-    def _offer_chunk(
+    def _ingest_object_chunk(
         chunk: List[Element],
         blind: List[Candidate],
         specific: Optional[List[Dict[int, Candidate]]],
-        levels: int,
+        stats: StreamStats,
     ) -> None:
         """Offer one object-path chunk to every guess level's candidates."""
-        vectors = np.asarray([element.vector for element in chunk])
-        by_group: Dict[int, Tuple[List[Element], np.ndarray]] = {}
-        if specific is not None:
-            indices_by_group: Dict[int, List[int]] = {}
-            for i, element in enumerate(chunk):
-                indices_by_group.setdefault(element.group, []).append(i)
-            by_group = {
-                group: ([chunk[i] for i in indices], vectors[indices])
-                for group, indices in indices_by_group.items()
-            }
-        for index in range(levels):
-            blind[index].offer_batch(chunk, vectors)
+        stats.elements_processed += len(chunk)
+        with obs.span("ingest.chunk", size=len(chunk)):
+            vectors = np.asarray([element.vector for element in chunk])
+            by_group: Dict[int, Tuple[List[Element], np.ndarray]] = {}
             if specific is not None:
-                per_group = specific[index]
-                for group, (sub_elements, sub_vectors) in by_group.items():
-                    candidate = per_group.get(group)
-                    if candidate is not None:
-                        candidate.offer_batch(sub_elements, sub_vectors)
+                indices_by_group: Dict[int, List[int]] = {}
+                for i, element in enumerate(chunk):
+                    indices_by_group.setdefault(element.group, []).append(i)
+                by_group = {
+                    group: ([chunk[i] for i in indices], vectors[indices])
+                    for group, indices in indices_by_group.items()
+                }
+            for index in range(len(blind)):
+                blind[index].offer_batch(chunk, vectors)
+                if specific is not None:
+                    per_group = specific[index]
+                    for group, (sub_elements, sub_vectors) in by_group.items():
+                        candidate = per_group.get(group)
+                        if candidate is not None:
+                            candidate.offer_batch(sub_elements, sub_vectors)
 
     def _make_screen(self, candidates: List[Candidate]) -> "_UnionScreen":
         """One chunk screen over ``candidates``: indexed when requested.
@@ -504,6 +503,33 @@ class StreamingAlgorithm:
 
             return IndexedScreen(candidates, kind=self._index_kind)
         return _UnionScreen(candidates)
+
+    def _make_screens(
+        self,
+        blind: List[Candidate],
+        specific: Optional[List[Dict[int, Candidate]]],
+    ) -> "_LadderScreens":
+        """The columnar screens over every not-yet-full candidate.
+
+        Built once per run (or lazily per live session) and kept across
+        chunks; the screens depend only on the candidates, so rebuilding
+        them at any point yields the same decisions.
+        """
+        blind_screen = self._make_screen(
+            [candidate for candidate in blind if not candidate.is_full]
+        )
+        group_screens: Dict[int, _UnionScreen] = {}
+        if specific is not None:
+            by_group: Dict[int, List[Candidate]] = {}
+            for per_group in specific:
+                for group, candidate in per_group.items():
+                    if not candidate.is_full:
+                        by_group.setdefault(group, []).append(candidate)
+            group_screens = {
+                group: self._make_screen(candidates)
+                for group, candidates in by_group.items()
+            }
+        return _LadderScreens(blind_screen, group_screens)
 
     def _ingest_store(
         self,
@@ -525,34 +551,21 @@ class StreamingAlgorithm:
         * chunks are contiguous feature-matrix slices (zero-copy in
           canonical order, one vectorized gather per chunk under a shuffle
           permutation);
-        * group splitting is a mask over the ``groups`` column computed
-          once per chunk;
-        * the per-level member screens are collapsed into one memoised
-          union screen per chunk (see :class:`_UnionScreen`);
+        * the per-chunk body is :meth:`_LadderScreens.offer`, which live
+          sessions share: group splitting is one mask per group, and the
+          per-level member screens collapse into one memoised union screen
+          per candidate family (see :class:`_UnionScreen`);
         * candidates that have reached capacity are dropped from the loop
           instead of being re-offered a chunk they must refuse.
         """
         store, order = plan.store, plan.order
         features, group_column = store.features, store.groups
         total = len(plan)
-        blind_screen = self._make_screen(
-            [candidate for candidate in blind if not candidate.is_full]
-        )
-        group_screens: Dict[int, _UnionScreen] = {}
-        if specific is not None:
-            by_group: Dict[int, List[Candidate]] = {}
-            for per_group in specific:
-                for group, candidate in per_group.items():
-                    if not candidate.is_full:
-                        by_group.setdefault(group, []).append(candidate)
-            group_screens = {
-                group: self._make_screen(candidates)
-                for group, candidates in by_group.items()
-            }
+        screens = self._make_screens(blind, specific)
         for start in range(0, total, size):
             stop = min(start + size, total)
             stats.elements_processed += stop - start
-            if blind_screen.exhausted and not group_screens:
+            if screens.exhausted:
                 continue
             with obs.span("ingest.chunk", start=start, size=stop - start):
                 if order is None:
@@ -563,25 +576,7 @@ class StreamingAlgorithm:
                     rows = order[start:stop]
                     vectors = features[rows]
                     codes = group_column[rows]
-
-                if not blind_screen.exhausted:
-                    blind_screen.process(metric, store, rows, vectors)
-                if group_screens:
-                    drained = []
-                    for group, screen in group_screens.items():
-                        member_positions = np.nonzero(codes == group)[0]
-                        if member_positions.size == 0:
-                            continue
-                        screen.process(
-                            metric,
-                            store,
-                            rows[member_positions],
-                            vectors[member_positions],
-                        )
-                        if screen.exhausted:
-                            drained.append(group)
-                    for group in drained:
-                        del group_screens[group]
+                screens.offer(metric, store, rows, vectors, codes)
 
     @staticmethod
     def _new_stats() -> Tuple[StreamStats, StageTimer]:
@@ -604,8 +599,76 @@ class StreamingAlgorithm:
         stats.record_stored(stored_elements)
 
 
+class _LadderScreens:
+    """The columnar screens of one candidate state, kept across chunks.
+
+    One :class:`_UnionScreen` serves the group-blind candidates and one
+    serves each group's group-specific candidates.  :meth:`offer` is the
+    per-chunk body of the columnar engine, shared by the one-shot
+    :meth:`StreamingAlgorithm._ingest_store` and live sessions.  The
+    screens are a derived cache of the candidates: sessions drop them from
+    snapshots and checkpoints and rebuild them on first use.
+    """
+
+    __slots__ = ("blind", "groups")
+
+    def __init__(self, blind: "_UnionScreen", groups: Dict[int, "_UnionScreen"]) -> None:
+        self.blind = blind
+        self.groups = groups
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether every candidate has reached capacity."""
+        return self.blind.exhausted and not self.groups
+
+    def offer(
+        self,
+        metric: Metric,
+        store: ElementStore,
+        rows: np.ndarray,
+        vectors: np.ndarray,
+        codes: np.ndarray,
+        detach: bool = False,
+    ) -> None:
+        """Offer one chunk (store ``rows`` with their ``vectors``/group ``codes``).
+
+        Accepted rows become store views; with ``detach`` they become
+        standalone copies instead — one per row, shared by every candidate
+        that accepts it — so a short-lived chunk store is never kept alive
+        by the candidates.
+        """
+        element_of: Callable[[int], Element] = store.element
+        if detach:
+            copies: Dict[int, Element] = {}
+
+            def element_of(row: int) -> Element:
+                element = copies.get(row)
+                if element is None:
+                    element = copies[row] = store.element(row, copy=True)
+                return element
+
+        if not self.blind.exhausted:
+            self.blind.process(metric, rows, vectors, element_of)
+        if self.groups:
+            drained = []
+            for group, screen in self.groups.items():
+                member_positions = np.nonzero(codes == group)[0]
+                if member_positions.size == 0:
+                    continue
+                screen.process(
+                    metric,
+                    rows[member_positions],
+                    vectors[member_positions],
+                    element_of,
+                )
+                if screen.exhausted:
+                    drained.append(group)
+            for group in drained:
+                del self.groups[group]
+
+
 class _UnionScreen:
-    """Memoised multi-candidate screen over one chunk of store rows.
+    """Memoised multi-candidate screen over chunks of store rows.
 
     Screens every chunk against each candidate's *pre-chunk* members —
     exactly what per-candidate ``offer_batch`` calls would use, since a
@@ -622,41 +685,42 @@ class _UnionScreen:
     through :meth:`~repro.metrics.cached.CountingMetric.charge`), so
     distance accounting stays identical with the object batch path.
 
-    The union layout (member row indices and per-candidate column lists)
-    only changes when some candidate accepts an element or reaches
+    The union layout (the union payload matrix and per-candidate column
+    lists) only changes when some candidate accepts an element or reaches
     capacity, both of which are rare after the warm-up chunks; the layout
     is cached between chunks and rebuilt only when the
     ``(candidate count, total members)`` version moves — accepts strictly
     grow the member total and prunes strictly shrink the candidate count,
-    so the version is change-exact.
+    so the version is change-exact.  The union matrix is gathered from the
+    candidates' own member rows (:meth:`Candidate.member_matrix`), so
+    members need not be views of the chunk's store — which is what lets a
+    live session screen chunk after chunk of short-lived stores.
     """
 
     __slots__ = (
         "candidates",
         "_version",
-        "_union_rows",
+        "_union_matrix",
         "_member_columns",
         "_total_members",
-        "_fallback",
     )
 
     def __init__(self, candidates: List[Candidate]) -> None:
         self.candidates = candidates
         self._version: Optional[Tuple[int, int]] = None
-        self._union_rows: Optional[np.ndarray] = None
+        self._union_matrix: Optional[np.ndarray] = None
         self._member_columns: List[Optional[np.ndarray]] = []
         self._total_members = 0
-        self._fallback = False
 
     @property
     def exhausted(self) -> bool:
         """Whether every candidate has reached capacity."""
         return not self.candidates
 
-    def _rebuild(self, store: ElementStore) -> None:
+    def _rebuild(self) -> None:
         """Recompute the union layout for the current member sets."""
         column_of: Dict[int, int] = {}
-        union_rows: List[int] = []
+        union: List[np.ndarray] = []
         member_columns: List[Optional[np.ndarray]] = []
         total_members = 0
         for candidate in self.candidates:
@@ -665,48 +729,38 @@ class _UnionScreen:
                 member_columns.append(None)
                 continue
             total_members += len(members)
+            matrix = candidate.member_matrix()
             columns = np.empty(len(members), dtype=np.intp)
             for position, member in enumerate(members):
                 column = column_of.get(member.uid)
                 if column is None:
-                    if member.store is not store:
-                        # A member that is not a view of this store (never
-                        # produced by this loop, but cheap to stay safe
-                        # against): screen candidate-by-candidate instead.
-                        self._fallback = True
-                        return
-                    column = len(union_rows)
+                    column = len(union)
                     column_of[member.uid] = column
-                    union_rows.append(member.row)
+                    union.append(matrix[position])
                 columns[position] = column
             member_columns.append(columns)
-        self._union_rows = (
-            np.asarray(union_rows, dtype=np.int64) if union_rows else None
-        )
+        self._union_matrix = np.array(union, dtype=np.float64) if union else None
         self._member_columns = member_columns
         self._total_members = total_members
 
     def process(
         self,
         metric: Metric,
-        store: ElementStore,
         rows: np.ndarray,
         vectors: np.ndarray,
+        element_of: Callable[[int], Element],
     ) -> None:
-        """Screen one chunk and resolve each candidate's survivors."""
-        if self._fallback:
-            self._process_individually(store, rows, vectors)
-            return
+        """Screen one chunk and resolve each candidate's survivors.
+
+        ``element_of`` turns an accepted store row into its member element.
+        """
         version = (len(self.candidates), sum(len(c) for c in self.candidates))
         if version != self._version:
-            self._rebuild(store)
+            self._rebuild()
             self._version = version
-            if self._fallback:
-                self._process_individually(store, rows, vectors)
-                return
         distances: Optional[np.ndarray] = None
-        if self._union_rows is not None:
-            distances = self._screen_distances(metric, store, vectors)
+        if self._union_matrix is not None:
+            distances = self._screen_distances(metric, vectors)
         filled = False
         for candidate, columns in zip(self.candidates, self._member_columns):
             if columns is None:
@@ -718,14 +772,12 @@ class _UnionScreen:
                     level_min = distances[:, columns].min(axis=1)
                 survivors = np.nonzero(level_min >= candidate.mu)[0]
             if survivors.size:
-                candidate.resolve_rows(store, rows, vectors, survivors)
+                candidate.resolve_rows(rows, vectors, survivors, element_of)
                 filled |= candidate.is_full
         if filled:
             self.candidates = [c for c in self.candidates if not c.is_full]
 
-    def _screen_distances(
-        self, metric: Metric, store: ElementStore, vectors: np.ndarray
-    ) -> np.ndarray:
+    def _screen_distances(self, metric: Metric, vectors: np.ndarray) -> np.ndarray:
         """The chunk-vs-union distance matrix the per-level reductions read.
 
         The hook the index layer overrides
@@ -738,23 +790,11 @@ class _UnionScreen:
         containing its member — that keeps the ``min >= mu`` decisions
         bitwise identical.
         """
-        union_matrix = store.features[self._union_rows]
-        distances = metric.pairwise(vectors, union_matrix)
+        distances = metric.pairwise(vectors, self._union_matrix)
         charge = getattr(metric, "charge", None)
         if charge is not None:
             charge(
                 vectors.shape[0]
-                * (self._total_members - self._union_rows.shape[0])
+                * (self._total_members - self._union_matrix.shape[0])
             )
         return distances
-
-    def _process_individually(
-        self, store: ElementStore, rows: np.ndarray, vectors: np.ndarray
-    ) -> None:
-        """Per-candidate screening fallback (no shared union screen)."""
-        filled = False
-        for candidate in self.candidates:
-            candidate.offer_rows(store, rows, vectors)
-            filled |= candidate.is_full
-        if filled:
-            self.candidates = [c for c in self.candidates if not c.is_full]

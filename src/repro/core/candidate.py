@@ -6,20 +6,26 @@ element is at distance at least ``µ`` from everything already accepted.  By
 construction the minimum pairwise distance within a candidate is at least
 ``µ`` at all times — an invariant the tests verify directly.
 
-Three update paths exist:
+Three update paths exist, one per ingestion route:
 
 * :meth:`Candidate.offer` — the paper's element-at-a-time rule with an
-  early-exit distance scan;
-* :meth:`Candidate.offer_batch` — the vectorized rule used by the
-  object-path batch ingestion: a whole chunk of arriving elements is
-  screened against the current members with one batched min-distance
-  computation, and only the survivors (typically few once the candidate
-  fills) are resolved sequentially against each other;
-* :meth:`Candidate.offer_rows` — the columnar rule used by the
-  store-backed ingestion: the chunk arrives as row indices into an
-  :class:`~repro.data.store.ElementStore` plus an already-sliced payload
-  matrix, so no per-element Python work happens at all.  Elements are only
-  materialised (as zero-copy store views) for the rows actually accepted.
+  early-exit distance scan; used by scalar runs and scalar sessions
+  (no ``batch_size``, or a metric without batch kernels);
+* :meth:`Candidate.offer_batch` — the vectorized rule of the object batch
+  path: a whole chunk of arriving elements is screened against the current
+  members with one batched min-distance computation, and only the
+  survivors are resolved sequentially against each other.  Used by batched
+  ``run()`` calls over plain element iterables and by batched sessions
+  whose payloads are not numeric vectors (categorical sequences,
+  precomputed-matrix indices);
+* :meth:`Candidate.resolve_rows` — the columnar rule: the pre-screen runs
+  once per chunk for every candidate of a family
+  (:class:`~repro.core.base._UnionScreen`), and each candidate resolves
+  only its survivors, given as row indices into an
+  :class:`~repro.data.store.ElementStore`.  Used by batched ``run()``
+  calls over store-backed sources and by every batched session fed
+  numeric vectors (``offer_rows``, or elements whose payloads columnarise).
+  Only accepted rows ever become objects.
 
 All three produce the identical accepted set for the same arrival order —
 an element rejected against a prefix of the members can never be accepted
@@ -34,7 +40,7 @@ fall back to the original lazily re-stacked matrix.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -262,55 +268,28 @@ class Candidate:
             alive = alive[distances >= self.mu]
         return accepted
 
-    def offer_rows(self, store, rows: np.ndarray, vectors: Optional[np.ndarray] = None) -> int:
-        """Columnar batch update: offer store rows instead of element objects.
-
-        Parameters
-        ----------
-        store:
-            The :class:`~repro.data.store.ElementStore` the rows index into.
-        rows:
-            Absolute store row indices of the chunk, in stream order.  For
-            group-specific candidates the caller must pre-filter the rows
-            by group (a vectorized mask over ``store.groups``); no
-            per-element safety net runs here.
-        vectors:
-            Optional pre-sliced ``store.features[rows]`` aligned with
-            ``rows``; avoids slicing once per guess level.
-
-        The accept/reject sequence — and the number of distances charged —
-        is identical to :meth:`offer_batch` over the same elements: the
-        same pre-chunk screen (through the fused ``pairwise_min`` kernel,
-        which is bitwise equal to ``pairwise(...).min(axis=1)``) followed
-        by the same round-based in-chunk resolution.  Accepted rows are
-        materialised as zero-copy store views; rejected rows never become
-        objects at all.
-        """
-        if self.is_full or rows.size == 0:
-            return 0
-        if vectors is None:
-            vectors = store.features[rows]
-        if self._elements:
-            min_distances = self.metric.pairwise_min(vectors, self.member_matrix())
-            survivor_indices = np.nonzero(min_distances >= self.mu)[0]
-        else:
-            survivor_indices = np.arange(rows.size)
-        return self.resolve_rows(store, rows, vectors, survivor_indices)
-
     def resolve_rows(
-        self, store, rows: np.ndarray, vectors: np.ndarray, survivor_indices: np.ndarray
+        self,
+        rows: np.ndarray,
+        vectors: np.ndarray,
+        survivor_indices: np.ndarray,
+        element_of: Callable[[int], Element],
     ) -> int:
-        """In-chunk resolution for store rows whose pre-screen already ran.
+        """Columnar in-chunk resolution for store rows whose screen already ran.
 
-        The consolidated ingestion path screens a whole chunk against every
-        guess level with one segmented kernel call and then hands each
-        candidate its own survivors here; :meth:`offer_rows` is the
-        self-contained equivalent for callers without a shared screen.
+        The columnar engine screens a whole chunk against every guess
+        level with one union kernel call
+        (:class:`~repro.core.base._UnionScreen`) and hands each candidate
+        its own survivors here: ``rows`` are the chunk's row indices into
+        an :class:`~repro.data.store.ElementStore` and ``vectors`` the
+        matching feature rows.  The accept/reject sequence is the one
+        :meth:`offer_batch` produces over the same elements.  Only accepted
+        rows become :class:`Element` objects, through ``element_of(row)``.
         """
         if self.is_full or survivor_indices.size == 0:
             return 0
         return self._resolve_survivors(
-            vectors, survivor_indices, lambda i: store.element(int(rows[i]))
+            vectors, survivor_indices, lambda i: element_of(int(rows[i]))
         )
 
     # ------------------------------------------------------------------

@@ -163,6 +163,22 @@ class ElementStore:
         except (InvalidParameterError, TypeError, ValueError):
             return None
 
+    @classmethod
+    def concat(cls, stores: Sequence["ElementStore"]) -> "ElementStore":
+        """One store holding the rows of ``stores`` in order (copies the columns)."""
+        if any(store.labels is not None for store in stores):
+            labels: Optional[List[Optional[str]]] = []
+            for store in stores:
+                labels.extend(store.labels or [None] * len(store))
+        else:
+            labels = None
+        combined = cls.__new__(cls)
+        combined.features = np.concatenate([store.features for store in stores])
+        combined.groups = np.concatenate([store.groups for store in stores])
+        combined.uids = np.concatenate([store.uids for store in stores])
+        combined.labels = labels
+        return combined
+
     # ------------------------------------------------------------------
     # Shape and addressing
     # ------------------------------------------------------------------
@@ -183,18 +199,24 @@ class ElementStore:
         """
         return self.features[indexer]
 
-    def element(self, row: int) -> Element:
-        """A thin :class:`Element` view of one row (zero-copy payload)."""
+    def element(self, row: int, copy: bool = False) -> Element:
+        """A thin :class:`Element` view of one row (zero-copy payload).
+
+        With ``copy=True`` the element is standalone instead: it owns a
+        copy of the row and has no back-pointers, so keeping it does not
+        keep this store alive.
+        """
         row = int(row)
-        view = Element(
+        element = Element(
             uid=int(self.uids[row]),
-            vector=self.features[row],
+            vector=self.features[row].copy() if copy else self.features[row],
             group=int(self.groups[row]),
             label=None if self.labels is None else self.labels[row],
         )
-        view.store = self
-        view.row = row
-        return view
+        if not copy:
+            element.store = self
+            element.row = row
+        return element
 
     def elements(self, order: Optional[Iterable[int]] = None) -> List[Element]:
         """Element views for every row (or for ``order``), as a list."""

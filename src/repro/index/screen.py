@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.base import _UnionScreen
 from repro.core.candidate import Candidate
-from repro.data.store import ElementStore
 from repro.index.tree import SpatialIndex
 from repro.metrics.base import Metric
 
@@ -63,7 +62,7 @@ class IndexedScreen(_UnionScreen):
         self._tree: Optional[SpatialIndex] = None
         self._node_max: Optional[np.ndarray] = None
 
-    def _rebuild(self, store: ElementStore) -> None:
+    def _rebuild(self) -> None:
         """Recompute the union layout, per-member radii, and drop the tree.
 
         The tree itself is rebuilt lazily on the next
@@ -71,37 +70,32 @@ class IndexedScreen(_UnionScreen):
         rebuilds only happen when some candidate accepted an element or
         reached capacity, which is rare after the warm-up chunks.
         """
-        super()._rebuild(store)
+        super()._rebuild()
         self._tree = None
         self._node_max = None
         self._radii = None
-        if self._fallback or self._union_rows is None:
+        if self._union_matrix is None:
             return
-        radii = np.zeros(self._union_rows.shape[0], dtype=float)
+        radii = np.zeros(self._union_matrix.shape[0], dtype=float)
         for candidate, columns in zip(self.candidates, self._member_columns):
             if columns is not None:
                 np.maximum.at(radii, columns, candidate.mu)
         self._radii = radii
 
-    def _screen_distances(
-        self, metric: Metric, store: ElementStore, vectors: np.ndarray
-    ) -> np.ndarray:
+    def _screen_distances(self, metric: Metric, vectors: np.ndarray) -> np.ndarray:
         """Tree-pruned chunk-vs-union distances (columns in tree order).
 
         On the first chunk after a rebuild the tree is constructed over
-        the union member features and ``_member_columns`` is permuted into
+        the union member rows and ``_member_columns`` is permuted into
         tree order so the parent's column reductions keep lining up with
         the matrix.  Omitted entries stay ``+inf``; see the module
         docstring for why that cannot flip a screen decision.
         """
         if self._tree is None:
-            self._tree = SpatialIndex(
-                store.features[self._union_rows], metric, kind=self.kind
-            )
-            inverse = np.empty(self._union_rows.shape[0], dtype=np.intp)
-            inverse[self._tree.perm] = np.arange(
-                self._union_rows.shape[0], dtype=np.intp
-            )
+            size = self._union_matrix.shape[0]
+            self._tree = SpatialIndex(self._union_matrix, metric, kind=self.kind)
+            inverse = np.empty(size, dtype=np.intp)
+            inverse[self._tree.perm] = np.arange(size, dtype=np.intp)
             self._member_columns = [
                 None if columns is None else inverse[columns]
                 for columns in self._member_columns

@@ -90,6 +90,90 @@ class TestStreamingSession:
         assert session.elements_offered == 200
         assert session.solution().solution.is_fair
 
+    @pytest.mark.parametrize("batch_size", (None, 32))
+    def test_rejected_offer_rows_leaves_no_trace(self, constraint, batch_size):
+        rng = np.random.default_rng(5)
+        session = repro.open_session(
+            constraint=constraint, algorithm="SFDM2", batch_size=batch_size
+        )
+        session.offer_rows(
+            rng.normal(size=(100, 3)), groups=rng.integers(0, 2, size=100)
+        )
+        before = session.solution()
+        bad_offers = (
+            {"features": np.ones((5, 4))},
+            {"features": np.ones(2)},
+            {"features": np.ones((5, 3)), "groups": [0, 1]},
+            {"features": np.ones((5, 3)), "uids": [1, 2, 3]},
+        )
+        for bad in bad_offers:
+            with pytest.raises(InvalidParameterError):
+                session.offer_rows(**bad)
+            assert session.elements_offered == 100
+            after = session.solution()
+            assert after.solution.uids == before.solution.uids
+            assert after.solution.diversity == before.solution.diversity
+            assert (
+                after.stats.total_distance_computations
+                == before.stats.total_distance_computations
+            )
+
+    def test_screens_stay_out_of_snapshots_and_checkpoints(
+        self, constraint, tmp_path
+    ):
+        import pickle
+
+        rng = np.random.default_rng(8)
+        rows, groups = rng.normal(size=(400, 3)), rng.integers(0, 2, size=400)
+        session = repro.open_session(
+            constraint=constraint, algorithm="SFDM2", batch_size=32
+        )
+        session.offer_rows(rows[:200], groups=groups[:200])
+        assert session._screens is not None
+        assert pickle.loads(pickle.dumps(session))._screens is None
+        restored = repro.resume(session.checkpoint(tmp_path / "s.ckpt"))
+        assert restored._screens is None
+        for live in (session, restored):
+            live.offer_rows(rows[200:], groups=groups[200:])
+        assert restored._screens is not None
+        assert restored.solution().solution.uids == session.solution().solution.uids
+
+    def test_one_ingest_chunk_span_per_drained_chunk(self, constraint):
+        from repro import obs
+
+        rng = np.random.default_rng(4)
+        rows, groups = rng.normal(size=(200, 3)), rng.integers(0, 2, size=200)
+        session = repro.open_session(
+            constraint=constraint, algorithm="SFDM2", batch_size=32
+        )
+        with obs.tracing("memory") as sink:
+            for start in (0, 70, 140):
+                session.offer_rows(
+                    rows[start:start + 70], groups=groups[start:start + 70]
+                )
+            chunks = sink.spans("ingest.chunk")
+        assert [span["attrs"]["size"] for span in chunks] == [32] * 6
+        assert [span["attrs"]["start"] for span in chunks] == list(range(0, 192, 32))
+
+    def test_session_never_pins_the_callers_rows(self, constraint):
+        rng = np.random.default_rng(6)
+        rows, groups = rng.normal(size=(300, 3)), rng.integers(0, 2, size=300)
+        session = repro.open_session(
+            constraint=constraint, algorithm="SFDM2", batch_size=32
+        )
+        for start in range(0, 300, 50):  # leaves 300 % 32 rows pending
+            session.offer_rows(rows[start:start + 50], groups=groups[start:start + 50])
+        pending = session._pending.peek(len(session._pending))
+        assert len(pending) == 300 % 32
+        assert not np.shares_memory(pending.features, rows)
+        members = [
+            element.vector
+            for candidate in session._blind
+            for element in candidate
+        ]
+        assert members
+        assert not any(np.shares_memory(vector, rows) for vector in members)
+
     def test_empty_session_raises(self, dataset, constraint):
         with pytest.raises(EmptyStreamError):
             _open(dataset, constraint).solution()

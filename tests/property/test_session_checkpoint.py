@@ -15,6 +15,7 @@ import repro
 from repro.core.sfdm1 import SFDM1
 from repro.core.sfdm2 import SFDM2
 from repro.core.streaming_dm import StreamingDiversityMaximization
+from repro.data.store import ElementStore
 from repro.datasets.synthetic import synthetic_blobs
 
 K = 6
@@ -110,6 +111,43 @@ def test_checkpoint_resume_in_batch_mode(seed, dataset, constraint, tmp_path):
         restored = repro.resume(path)
         restored.offer_batch(elements[cut:])
         assert _fingerprint(restored.solution()) == reference
+
+    # offer_rows in varied chunkings equals the one-shot run over the store
+    store = ElementStore.from_elements(elements)
+    rows_reference = _fingerprint(
+        _algorithm("SFDM2", dataset, constraint, batch_size=batch_size).run(store)
+    )
+    assert rows_reference == reference
+    n = len(store)
+    one_row = [1] * n
+    # cumulative 30, 70, 97, 147, 148, 243, 320: straddles the 64-row
+    # warmup and the 48-row chunk boundaries at 96, 144, 192, 240 and 288
+    straddling = [30, 40, 27, 50, 1, 95, 77]
+    assert sum(straddling) == n
+    for sizes, interrupted in (
+        (one_row, False),
+        (straddling, False),
+        ([37] * (n // 37) + [n % 37], True),
+    ):
+        session = repro.StreamingSession(
+            _algorithm("SFDM2", dataset, constraint, batch_size=batch_size)
+        )
+        start = 0
+        for index, size in enumerate(sizes):
+            stop = start + size
+            session.offer_rows(
+                store.features[start:stop],
+                groups=store.groups[start:stop],
+                uids=store.uids[start:stop],
+            )
+            start = stop
+            if interrupted:  # a query after every offer, one resume cut
+                session.solution()
+                if index == 4:
+                    path = session.checkpoint(tmp_path / f"rows-{seed}.ckpt")
+                    session = repro.resume(path)
+        assert start == n
+        assert _fingerprint(session.solution()) == rows_reference, sizes
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -148,6 +148,21 @@ def test_resume_unsupported_version(session, tmp_path):
         repro.resume(path)
 
 
+def test_resume_rejects_version_1_payload(session, tmp_path):
+    """Version 1 checkpoints predate the columnar pending buffer."""
+    path = tmp_path / "v1.ckpt"
+    payload = {
+        "format": session_module.CHECKPOINT_FORMAT,
+        "version": 1,
+        "algorithm": session.algorithm_name,
+        "session": session,
+    }
+    path.write_bytes(pickle.dumps(payload))
+    assert session_module.CHECKPOINT_VERSION == 2
+    with pytest.raises(repro.CheckpointError, match=r"version 1 .*expected 2"):
+        repro.resume(path)
+
+
 def test_resume_payload_without_session_object(session, tmp_path):
     path = session.checkpoint(tmp_path / "hollow.ckpt")
     with open(path, "rb") as handle:
