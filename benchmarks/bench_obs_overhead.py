@@ -1,7 +1,7 @@
 """Observability overhead benchmark: the disabled path must be free.
 
 The tracing statements live inside the engine's hot loops (the SFDM2
-chunk ingest, the guess-ladder post-processing, the index traversals), so
+chunk ingest, the guess-ladder post-processing), so
 the repository's perf story depends on the *disabled* fast path costing
 nothing measurable.  This bench quantifies that claim three ways:
 

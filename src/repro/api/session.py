@@ -13,8 +13,8 @@ the same candidate state the one-shot run builds:
   rules as ``run()``.  Which engine a :class:`StreamingSession` drives
   depends on its configuration and on its first payload:
 
-  - **columnar** — batched sessions (``batch_size`` set, or an ``index``)
-    fed numeric vectors: ``offer_rows``, or elements whose payloads
+  - **columnar** — batched sessions (``batch_size`` set) fed numeric
+    vectors: ``offer_rows``, or elements whose payloads
     :meth:`~repro.data.store.ElementStore.try_from_elements` accepts
     (this covers ``open_session(data=...)``).  Rows wait in a columnar
     pending buffer and every whole chunk runs through the per-chunk body
@@ -165,39 +165,13 @@ class SessionBase:
 
     def _rows_store(self, features: Any, groups: Any, uids: Any) -> ElementStore:
         """Validate one ``offer_rows`` payload into a columnar block."""
-        try:
-            # a copy: the session keeps its pending rows, never the caller's
-            matrix = np.array(features, dtype=float)
-        except (TypeError, ValueError) as error:
-            raise InvalidParameterError(
-                f"features must be a numeric (n, d) matrix ({error})"
-            ) from error
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        if matrix.ndim != 2:
-            raise InvalidParameterError(
-                f"features must be a (n, d) matrix or a single row, got ndim={matrix.ndim}"
-            )
+        matrix, group_column, uid_column = check_rows(features, groups, uids, self._dim)
         n = matrix.shape[0]
-        if n:
-            self._check_dim(matrix.shape[1])
-        if groups is None:
+        if group_column is None:
             group_column = np.zeros(n, dtype=np.int64)
-        else:
-            group_column = _int_column(groups, n, "group labels")
-        if uids is None:
+        if uid_column is None:
             uid_column = np.arange(self._next_uid, self._next_uid + n, dtype=np.int64)
-        else:
-            uid_column = _int_column(uids, n, "uids")
         return ElementStore(matrix, group_column, uids=uid_column)
-
-    def _check_dim(self, dim: int) -> None:
-        """Reject rows whose dimensionality differs from the session's."""
-        if self._dim is not None and dim != self._dim:
-            raise InvalidParameterError(
-                f"got {dim}-dimensional rows, but this session's rows are "
-                f"{self._dim}-dimensional"
-            )
 
     def _offer_store(self, block: ElementStore) -> None:
         """Ingest a validated ``offer_rows`` block (default: as elements).
@@ -291,11 +265,66 @@ class SessionBase:
         raise NotImplementedError
 
 
-def _int_column(values: Any, n: int, what: str) -> np.ndarray:
-    """``values`` as an int64 column of length ``n`` (``what`` names it in errors)."""
+def check_rows(
+    features: Any, groups: Any, uids: Any, dim: Optional[int]
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Validate one ``offer_rows`` payload (sessions and the serving manager).
+
+    Returns ``(matrix, groups, uids)``: a float copy of ``features`` as an
+    ``(n, d)`` matrix (a single ``(d,)`` row becomes ``(1, d)``) and the
+    label columns as int64 arrays of length ``n``, ``None`` where omitted.
+    ``dim`` is the width the rows must have, ``None`` when not yet fixed.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``features`` is not a numeric matrix, its rows are empty or
+        not ``dim``-dimensional, or ``groups``/``uids`` are not one
+        integer per row.
+    """
+    try:
+        # a copy: the session keeps its pending rows, never the caller's
+        matrix = np.array(features, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise InvalidParameterError(
+            f"features must be a numeric (n, d) matrix ({error})"
+        ) from error
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(1, -1)
+    if matrix.ndim != 2:
+        raise InvalidParameterError(
+            f"features must be a (n, d) matrix or a single row, got ndim={matrix.ndim}"
+        )
+    n = matrix.shape[0]
+    if n:
+        if not matrix.shape[1]:
+            raise InvalidParameterError("feature rows need at least one coordinate")
+        _check_dim(matrix.shape[1], dim)
+    group_column = None if groups is None else _int_column(groups, n, "groups", "group labels")
+    uid_column = None if uids is None else _int_column(uids, n, "uids", "uids")
+    return matrix, group_column, uid_column
+
+
+def _check_dim(dim: int, expected: Optional[int]) -> None:
+    """Reject ``dim``-dimensional rows where ``expected`` is fixed and differs."""
+    if expected is not None and dim != expected:
+        raise InvalidParameterError(
+            f"got {dim}-dimensional rows, but this session's rows are "
+            f"{expected}-dimensional"
+        )
+
+
+def _int_column(values: Any, n: int, param: str, what: str) -> np.ndarray:
+    """``values`` as an int64 column of length ``n``.
+
+    ``param`` is the argument name and ``what`` its entries, for errors.
+    """
     column = np.asarray(values).reshape(-1)
     if column.shape[0] != n:
-        raise InvalidParameterError(f"got {n} feature rows but {column.shape[0]} {what}")
+        raise InvalidParameterError(
+            f"{param} must hold one entry per feature row: got {n} rows but "
+            f"{column.shape[0]} {what}"
+        )
     try:
         return column.astype(np.int64)
     except (TypeError, ValueError) as error:
@@ -480,6 +509,16 @@ class StreamingSession(SessionBase):
         state["_screens"] = None
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Checkpoints from releases with the ``index`` option: an indexed
+        # session without ``batch_size`` took the columnar route at an
+        # implicit 128-row chunk, and its pending rows wait in a buffer
+        # only a batched session drains.  Chunk size never changes the
+        # decisions.
+        if self._columnar and self._algorithm.batch_size is None:
+            self._algorithm.batch_size = 128
+
     # ------------------------------------------------------------------
     @property
     def algorithm_name(self) -> str:
@@ -494,7 +533,7 @@ class StreamingSession(SessionBase):
     @property
     def _batched(self) -> bool:
         """Whether ingestion runs through the vectorized batch path."""
-        batch_size = self._algorithm._effective_batch_size
+        batch_size = self._algorithm.batch_size
         return batch_size is not None and batch_size > 1 and self._counting.supports_batch
 
     # ------------------------------------------------------------------
@@ -524,7 +563,7 @@ class StreamingSession(SessionBase):
                         f"{self._algorithm.name} session ingests numeric vector "
                         f"rows; got payloads that do not form an (n, d) matrix"
                     )
-                self._check_dim(block.dim)
+                _check_dim(block.dim, self._dim)
                 self._offer_rows_block(block)
                 return
         obs.event(
@@ -567,7 +606,7 @@ class StreamingSession(SessionBase):
             self._ladder, self._counting
         )
         if self._batched:
-            self._stats.extra["batch_size"] = float(self._algorithm._effective_batch_size)
+            self._stats.extra["batch_size"] = float(self._algorithm.batch_size)
 
     def _activate_from_pending(self) -> None:
         """Estimate bounds from the buffered warmup and start ingesting.
@@ -610,7 +649,7 @@ class StreamingSession(SessionBase):
                     chunk, self._blind, self._specific, self._stats
                 )
             return
-        size = self._algorithm._effective_batch_size
+        size = self._algorithm.batch_size
         while len(self._pending) >= size or (final and len(self._pending)):
             count = min(size, len(self._pending))
             if self._columnar:
@@ -629,8 +668,6 @@ class StreamingSession(SessionBase):
         self._stats.elements_processed += count
         if self._screens is None:
             self._screens = self._algorithm._make_screens(self._blind, self._specific)
-            if self._algorithm._index_kind is not None:
-                self._stats.index_kind = self._algorithm._index_kind
         if self._screens.exhausted:
             return
         with obs.span("ingest.chunk", start=start, size=count):

@@ -21,7 +21,6 @@ from repro.core.guesses import GuessLadder
 from repro.core.result import RunResult
 from repro.core.solution import Solution
 from repro.data.store import ElementStore, store_rows_of
-from repro.index.tree import resolve_index_kind
 from repro.metrics.base import Metric
 from repro.metrics.cached import CountingMetric
 from repro.metrics.space import exact_distance_bounds
@@ -41,13 +40,6 @@ from repro.utils.validation import require_in_open_interval
 #: for the fair algorithms — one group-specific candidate per (level,
 #: group) pair (``None`` for the unconstrained Algorithm 1).
 CandidateState = Tuple[List[Candidate], Optional[List[Dict[int, Candidate]]]]
-
-#: Chunk size used by the store ingestion path when an index is requested
-#: but no explicit ``batch_size`` was given: the indexed screen works on
-#: chunks, so the scalar element-at-a-time path would never engage it.
-#: Solutions are identical across chunk sizes (the store-equivalence suite
-#: pins this), so the default only affects scheduling.
-DEFAULT_INDEX_BATCH = 128
 
 
 class IngestPlan:
@@ -148,19 +140,6 @@ class StreamingAlgorithm:
         only changes how the arithmetic is scheduled.  Metrics without
         vectorized kernels (e.g. custom callables) silently fall back to
         the scalar path.
-    index:
-        Spatial-index kind for the candidate screens: ``"kd"`` or
-        ``"ball"`` build a :class:`repro.index.tree.SpatialIndex` over the
-        union members and prune provably irrelevant distance evaluations;
-        ``"auto"`` picks ``"kd"`` when the metric supports box bounds and
-        falls back to the brute screens otherwise; ``None``/``"none"``
-        (default) keeps the brute screens.  Indexed runs produce
-        bit-identical solutions on fewer (never more) counted distance
-        evaluations — the differential suite
-        (``tests/property/test_index_equivalence.py``) pins both claims.
-        When an index is active and ``batch_size`` is ``None``, the stream
-        is chunked at :data:`DEFAULT_INDEX_BATCH` so the columnar screens
-        (where the index lives) engage.
     """
 
     #: Overridden by subclasses; used in reports.
@@ -173,7 +152,6 @@ class StreamingAlgorithm:
         distance_bounds: Optional[Tuple[float, float]] = None,
         warmup_size: int = 64,
         batch_size: Optional[int] = None,
-        index: Optional[str] = None,
     ) -> None:
         self.metric = metric
         self.epsilon = require_in_open_interval(epsilon, 0.0, 1.0, "epsilon")
@@ -190,22 +168,6 @@ class StreamingAlgorithm:
         if batch_size is not None and batch_size < 1:
             raise InvalidParameterError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = None if batch_size is None else int(batch_size)
-        self.index = index
-        self._index_kind = resolve_index_kind(index, metric)
-
-    @property
-    def _effective_batch_size(self) -> Optional[int]:
-        """The chunk size ingestion actually runs at.
-
-        ``batch_size`` when given; otherwise :data:`DEFAULT_INDEX_BATCH`
-        when a spatial index is active (the indexed screens live on the
-        columnar chunked path); otherwise ``None`` (scalar updates).
-        """
-        if self.batch_size is not None:
-            return self.batch_size
-        if self._index_kind is not None:
-            return DEFAULT_INDEX_BATCH
-        return None
 
     # ------------------------------------------------------------------
     # Template run: resolve bounds, build candidates, ingest, extract
@@ -412,14 +374,10 @@ class StreamingAlgorithm:
         counts) because candidates are mutually independent and each one
         sees the elements in stream order.
         """
-        size = self._effective_batch_size
+        size = self.batch_size
         batched = size is not None and size > 1 and metric.supports_batch
         if batched:
             stats.extra["batch_size"] = float(size)
-        if self._index_kind is not None and batched and plan.store is not None:
-            # Only the columnar screens route through the index; the object
-            # batch path keeps the per-candidate kernels.
-            stats.index_kind = self._index_kind
         if plan.store is not None and batched:
             self._ingest_store(plan, blind, specific, stats, metric, size)
         elif batched:
@@ -491,21 +449,8 @@ class StreamingAlgorithm:
                         if candidate is not None:
                             candidate.offer_batch(sub_elements, sub_vectors)
 
-    def _make_screen(self, candidates: List[Candidate]) -> "_UnionScreen":
-        """One chunk screen over ``candidates``: indexed when requested.
-
-        The indexed variant lives in :mod:`repro.index.screen` and is
-        imported lazily — the index package imports :class:`_UnionScreen`
-        from this module, so a top-level import would be circular.
-        """
-        if self._index_kind is not None:
-            from repro.index.screen import IndexedScreen
-
-            return IndexedScreen(candidates, kind=self._index_kind)
-        return _UnionScreen(candidates)
-
+    @staticmethod
     def _make_screens(
-        self,
         blind: List[Candidate],
         specific: Optional[List[Dict[int, Candidate]]],
     ) -> "_LadderScreens":
@@ -515,7 +460,7 @@ class StreamingAlgorithm:
         chunks; the screens depend only on the candidates, so rebuilding
         them at any point yields the same decisions.
         """
-        blind_screen = self._make_screen(
+        blind_screen = _UnionScreen(
             [candidate for candidate in blind if not candidate.is_full]
         )
         group_screens: Dict[int, _UnionScreen] = {}
@@ -526,7 +471,7 @@ class StreamingAlgorithm:
                     if not candidate.is_full:
                         by_group.setdefault(group, []).append(candidate)
             group_screens = {
-                group: self._make_screen(candidates)
+                group: _UnionScreen(candidates)
                 for group, candidates in by_group.items()
             }
         return _LadderScreens(blind_screen, group_screens)
@@ -760,7 +705,15 @@ class _UnionScreen:
             self._version = version
         distances: Optional[np.ndarray] = None
         if self._union_matrix is not None:
-            distances = self._screen_distances(metric, vectors)
+            # Every (chunk element, union member) pair is evaluated once;
+            # each level's screen is still charged in full.
+            distances = metric.pairwise(vectors, self._union_matrix)
+            charge = getattr(metric, "charge", None)
+            if charge is not None:
+                charge(
+                    vectors.shape[0]
+                    * (self._total_members - self._union_matrix.shape[0])
+                )
         filled = False
         for candidate, columns in zip(self.candidates, self._member_columns):
             if columns is None:
@@ -776,25 +729,3 @@ class _UnionScreen:
                 filled |= candidate.is_full
         if filled:
             self.candidates = [c for c in self.candidates if not c.is_full]
-
-    def _screen_distances(self, metric: Metric, vectors: np.ndarray) -> np.ndarray:
-        """The chunk-vs-union distance matrix the per-level reductions read.
-
-        The hook the index layer overrides
-        (:class:`repro.index.screen.IndexedScreen`): the brute version
-        evaluates every (chunk element, union member) pair and charges each
-        level's screen in full; an override may leave provably irrelevant
-        entries at ``+inf`` (and permute columns, as long as
-        ``_member_columns`` is permuted to match) provided every omitted
-        entry's true distance is at least the ``mu`` of every level
-        containing its member — that keeps the ``min >= mu`` decisions
-        bitwise identical.
-        """
-        distances = metric.pairwise(vectors, self._union_matrix)
-        charge = getattr(metric, "charge", None)
-        if charge is not None:
-            charge(
-                vectors.shape[0]
-                * (self._total_members - self._union_matrix.shape[0])
-            )
-        return distances

@@ -45,11 +45,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.api.registry import get_algorithm, has_algorithm
-from repro.api.session import SessionBase, resume
+from repro.api.session import SessionBase, check_rows, resume
 from repro.api.solve import open_session
 from repro.core.result import RunResult
 from repro.serving.errors import (
@@ -124,6 +122,7 @@ class _Entry:
         "flush_handle",
         "lock",
         "offered_rows",
+        "dim",
     )
 
     def __init__(self, name: str, session: SessionBase, checkpoint_path: Path) -> None:
@@ -136,6 +135,10 @@ class _Entry:
         self.flush_handle: Optional[asyncio.TimerHandle] = None
         self.lock = asyncio.Lock()
         self.offered_rows = 0
+        #: Row width every offer must match: the session's, else the first
+        #: queued payload's.  Kept here so an evicted session is checked
+        #: without being restored.
+        self.dim: Optional[int] = session._dim
 
     @property
     def live(self) -> bool:
@@ -293,32 +296,32 @@ class SessionManager:
         are ingested on the next flush — immediately when the queue
         reaches ``max_batch``, otherwise within ``flush_ms``.
 
+        Every check runs before anything is queued (all-or-nothing), so a
+        rejected offer never costs an earlier or later offer its rows.
+
         Raises
         ------
+        InvalidParameterError
+            If the payload is empty or fails the session's row check
+            (:func:`repro.api.session.check_rows`), including rows whose
+            width differs from the session's or the first queued payload's.
         QueueFullError
             If accepting the rows would overflow the session's bounded
-            queue; nothing is queued in that case (all-or-nothing).
+            queue.
         """
         entry = self._require(name)
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
+        matrix, groups, uids = check_rows(features, groups, uids, entry.dim)
+        if matrix.shape[0] == 0:
             raise InvalidParameterError(
                 f"features must be a non-empty (n, d) matrix or a single row, "
                 f"got shape {matrix.shape}"
             )
         rows = matrix.shape[0]
-        for label, values in (("groups", groups), ("uids", uids)):
-            if values is not None and len(np.asarray(values).reshape(-1)) != rows:
-                raise InvalidParameterError(
-                    f"got {rows} feature rows but "
-                    f"{len(np.asarray(values).reshape(-1))} {label}"
-                )
         if entry.pending_rows + rows > self._config.max_queue:
             self._count("rejected_rows", rows)
             raise QueueFullError(name, entry.pending_rows, self._config.max_queue)
 
+        entry.dim = matrix.shape[1]
         entry.pending.append((matrix, groups, uids))
         entry.pending_rows += rows
         entry.offered_rows += rows

@@ -124,50 +124,6 @@ def test_solution_matches_golden(dataset_key, name, golden):
     assert fresh["diversity"] == pytest.approx(recorded["diversity"], rel=1e-9)
 
 
-def _indexed_cases():
-    """Every golden case whose algorithm declares the ``index`` option."""
-    return [
-        (dataset_key, name)
-        for dataset_key, name in _cases()
-        if "index" in repro.get_algorithm(name).capabilities.options
-    ]
-
-
-@pytest.mark.parametrize(
-    "dataset_key,name",
-    _indexed_cases(),
-    ids=[f"{d}/{n}" for d, n in _indexed_cases()],
-)
-def test_indexed_solution_matches_golden(dataset_key, name, golden):
-    """``index="kd"`` reproduces the pinned solution of the brute run.
-
-    Only uids and diversity are asserted: the pins were recorded on the
-    brute-force path, and the indexed path intentionally charges fewer
-    distance evaluations (the differential suite bounds the counts).
-    The pinned file is NOT regenerated for this — the whole point is
-    that the index layer changes accounting, never solutions.
-    """
-    recorded = golden["entries"].get(f"{dataset_key}/{name}")
-    assert recorded is not None, f"no golden entry for {dataset_key}/{name}; run `make golden`"
-    dataset = DATASETS[dataset_key]()
-    result = repro.solve(
-        dataset,
-        k=K,
-        algorithm=name,
-        epsilon=EPSILON,
-        seed=SEED,
-        index="kd",
-        **OPTIONS.get(name, {}),
-    )
-    assert result.solution is not None, f"{name} found no solution on {dataset_key}"
-    assert [int(uid) for uid in result.solution.uids] == recorded["uids"], (
-        f"indexed {name} on {dataset_key} diverged from the pinned solution"
-    )
-    assert float(result.solution.diversity) == pytest.approx(
-        recorded["diversity"], rel=1e-9
-    )
-
-
 if __name__ == "__main__":  # pragma: no cover - exercised via `make golden`
     if "--write" not in sys.argv:
         print("usage: python tests/integration/test_golden_solutions.py --write")

@@ -138,6 +138,34 @@ class TestStreamingSession:
         assert restored._screens is not None
         assert restored.solution().solution.uids == session.solution().solution.uids
 
+    def test_indexed_checkpoint_without_batch_size_resumes(self, constraint, tmp_path):
+        """Checkpoints from releases with the ``index`` option still resume.
+
+        Such a session without ``batch_size`` ran columnar at 128-row
+        chunks; its state is rebuilt here from a 128-row session.
+        """
+        rng = np.random.default_rng(8)
+        rows, groups = rng.normal(size=(900, 3)), rng.integers(0, 2, size=900)
+        reference = repro.open_session(
+            constraint=constraint, algorithm="SFDM2", batch_size=128
+        )
+        legacy = repro.open_session(
+            constraint=constraint, algorithm="SFDM2", batch_size=128
+        )
+        for live in (reference, legacy):
+            live.offer_rows(rows[:400], groups=groups[:400])
+        legacy._algorithm.batch_size = None
+        legacy._algorithm._index_kind = "kd"
+        restored = repro.resume(legacy.checkpoint(tmp_path / "legacy.ckpt"))
+        for live in (reference, restored):
+            live.offer_rows(rows[400:], groups=groups[400:])
+        expected, actual = reference.solution(), restored.solution()
+        assert actual.solution.uids == expected.solution.uids
+        assert (
+            actual.stats.total_distance_computations
+            == expected.stats.total_distance_computations
+        )
+
     def test_one_ingest_chunk_span_per_drained_chunk(self, constraint):
         from repro import obs
 
@@ -269,3 +297,7 @@ class TestOpenSessionValidation:
         session = repro.open_session(constraint=constraint, algorithm="SFDM2")
         with pytest.raises(InvalidParameterError, match="group labels"):
             session.offer_rows(np.eye(3), groups=[0, 1])
+        for empty_rows in ([], np.empty((3, 0))):
+            with pytest.raises(InvalidParameterError, match="coordinate"):
+                session.offer_rows(empty_rows)
+        assert session.elements_offered == 0

@@ -120,9 +120,33 @@ class TestConfiguration:
         with pytest.raises(InvalidParameterError, match="conflicts"):
             repro.solve(dataset, k=8, constraint=constraint)
 
-    def test_unknown_option_rejected_eagerly(self, dataset):
+    @pytest.mark.parametrize(
+        "option", [{"shards": 4}, {"index": "kd"}], ids=["shards", "index"]
+    )
+    def test_unknown_option_rejected_eagerly(self, dataset, option):
         with pytest.raises(InvalidParameterError, match="does not accept"):
-            repro.solve(dataset, k=6, algorithm="SFDM2", shards=4)
+            repro.solve(dataset, k=6, algorithm="SFDM2", **option)
+
+    @pytest.mark.parametrize("name", repro.algorithm_names())
+    def test_no_algorithm_declares_an_index_option(self, dataset, name):
+        assert "index" not in repro.get_algorithm(name).capabilities.options
+        with pytest.raises(InvalidParameterError, match="does not accept"):
+            repro.solve(dataset, k=6, algorithm=name, index="kd")
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda metric, c: repro.SFDM1(metric, c, index="kd"),
+            lambda metric, c: repro.SFDM2(metric, c, index="kd"),
+            lambda metric, c: repro.StreamingDiversityMaximization(metric, 6, index="kd"),
+            lambda metric, c: repro.SlidingWindowFDM(metric, c, window=50, index="kd"),
+        ],
+        ids=["SFDM1", "SFDM2", "StreamingDM", "SlidingWindowFDM"],
+    )
+    def test_constructors_reject_the_index_keyword(self, dataset, factory):
+        constraint = repro.equal_representation(6, [0, 1])
+        with pytest.raises(TypeError, match="unexpected keyword argument 'index'"):
+            factory(dataset.metric, constraint)
 
     def test_unknown_algorithm_rejected(self, dataset):
         with pytest.raises(InvalidParameterError, match="unknown algorithm"):

@@ -122,13 +122,13 @@ class TestHttpFraming:
         assert status == 405
         assert "not allowed" in body["error"]
 
-    def test_unconvertible_features_get_500_not_a_dead_connection(self, client):
+    def test_unconvertible_features_get_400_not_a_dead_connection(self, client):
         client.create_session(name="typed", k=K, groups=GROUPS)
         status, body = client.request(
             "POST", "/sessions/typed/offer",
             {"features": [["a", "b"], ["c", "d"]], "groups": [0, 1]},
         )
-        assert status == 500
+        assert status == 400
         assert "error" in body
         # Keep-alive survives the failed request.
         assert client.healthz()["status"] == "ok"

@@ -168,6 +168,51 @@ def test_single_row_offers_and_validation(tmp_path):
     _run(scenario())
 
 
+def test_wrong_width_offer_is_rejected_before_queueing(tmp_path, data):
+    """Regression: a wrong-width offer used to be acknowledged and then fail
+    the flush midway, silently dropping the acknowledged rows queued after it."""
+    features, groups = data
+
+    async def scenario():
+        manager = SessionManager(_config(tmp_path))
+        name = await manager.create(k=K, groups=2, algorithm="SFDM2")
+        await manager.offer(name, features[:50], groups=groups[:50])
+        with pytest.raises(repro.InvalidParameterError, match="dimensional"):
+            await manager.offer(name, np.ones((5, 3)), groups=[0] * 5)
+        assert manager.pending_rows(name) == 50
+        await manager.offer(name, features[50:100], groups=groups[50:100])
+        assert await manager.flush(name) == 100
+        result = await manager.solution(name)
+        assert result.stats.elements_processed == 100
+        return result
+
+    result = _run(scenario())
+    reference = repro.open_session(
+        k=K, groups=[0, 1], algorithm="SFDM2", options={"batch_size": 1_000}
+    )
+    reference.offer_rows(features[:100], groups=groups[:100])
+    expected = reference.solution()
+    assert list(result.solution.uids) == list(expected.solution.uids)
+    assert result.solution.diversity == expected.solution.diversity
+
+
+def test_width_is_checked_without_restoring_an_evicted_session(tmp_path, data):
+    features, groups = data
+
+    async def scenario():
+        manager = SessionManager(_config(tmp_path, max_live=1))
+        name = await manager.create(k=K, groups=2)
+        await manager.offer(name, features[:10], groups=groups[:10])
+        await manager.create(k=K, groups=2)  # flushes and evicts ``name``
+        assert not manager.is_live(name)
+        with pytest.raises(repro.InvalidParameterError, match="dimensional"):
+            await manager.offer(name, [[1.0, 2.0, 3.0]], groups=[0])
+        assert not manager.is_live(name)
+        assert manager.pending_rows(name) == 0
+
+    _run(scenario())
+
+
 def test_backpressure_is_all_or_nothing(tmp_path, data):
     features, groups = data
 

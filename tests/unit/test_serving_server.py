@@ -148,6 +148,21 @@ def test_malformed_json_is_400(client):
     assert response.status == 400 and "JSON" in payload["error"]
 
 
+def test_wrong_width_offer_is_400_and_leaves_the_session_unchanged(client, data):
+    features, groups = data
+    name = client.create_session(k=K, groups=2, name="width")
+    client.offer(name, features[:50], groups=groups[:50])
+    before = client.solution(name)
+    status, body = client.request(
+        "POST", f"/sessions/{name}/offer", {"features": [[1.0, 2.0, 3.0]], "groups": [0]}
+    )
+    assert status == 400 and "dimensional" in body["error"]
+    after = client.solution(name)
+    for key in ("uids", "elements_processed", "diversity"):
+        assert after[key] == before[key]
+    assert after["elements_processed"] == 50
+
+
 def test_offer_single_bare_row(client):
     client.create_session(k=K, groups=2, name="bare")
     receipt = client.offer("bare", [[0.5, 1.5]], groups=[0])
